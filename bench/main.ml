@@ -1353,7 +1353,9 @@ let gj () =
 (* merge: batch-sorted delta merge vs the per-tuple insert loop         *)
 
 (* Store-level microbench first: fold one deterministic candidate stream
-   (with duplicates) into an empty Set store in drain-sized rounds, once
+   (with duplicates) into an empty probed set store (the B⁺-tree kind;
+   an unprobed copy would take the flat hash set on both paths) in
+   drain-sized rounds, once
    through [merge_slice] per tuple and once through [stage_slice] +
    [merge_run].  The keyspace is sized so the final store crosses 1M
    keys — the regime the tentpole targets, where per-tuple descents pay
@@ -1367,8 +1369,10 @@ let merge_bench () =
   (* End-to-end control first (before the microbench balloons the major
      heap): the same engine run under both --merge paths must reach the
      identical fixpoint, and records what the batch path buys (or
-     costs) once exchange and join time dilute the merge.  Reps are
-     interleaved so neither path systematically runs on a colder heap. *)
+     costs) once exchange and join time dilute the merge.  TC's only
+     copy is unprobed, so it is a flat hash set on both paths and the
+     ratio reads about 1.0.  Reps are interleaved so neither path
+     systematically runs on a colder heap. *)
   let tc_edb = D.Queries.arc_edb (D.Datasets.rmat 300) in
   let e2e_times_b = ref [] and e2e_times_p = ref [] in
   let e2e_counts = ref [] in
@@ -1407,19 +1411,18 @@ let merge_bench () =
     a
   in
   let fresh_store () =
-    D.Rec_store.create ~arity ~agg:None ~route:[| 0 |] ~opts:D.Rec_store.default_opts ()
+    D.Rec_store.create ~arity ~agg:None ~route:[| 0 |] ~probed:true
+      ~opts:D.Rec_store.default_opts ()
   in
   let run_per_tuple () =
     let store = fresh_store () in
     let fresh = ref 0 in
+    let on_fresh _ _ = incr fresh in
     let (), secs =
       Clock.time (fun () ->
           for i = 0 to total - 1 do
-            match
-              D.Rec_store.merge_slice store ~data ~off:(arity * i) ~cdata:data ~coff:0 ~clen:0
-            with
-            | Some _ -> incr fresh
-            | None -> ()
+            D.Rec_store.merge_slice store ~data ~off:(arity * i) ~cdata:data ~coff:0 ~clen:0
+              ~on_fresh
           done)
     in
     (secs, !fresh, D.Rec_store.length store)
@@ -1427,7 +1430,7 @@ let merge_bench () =
   let run_batch () =
     let store = fresh_store () in
     let fresh = ref 0 in
-    let on_fresh _ = incr fresh in
+    let on_fresh _ _ = incr fresh in
     let (), secs =
       Clock.time (fun () ->
           let i = ref 0 in

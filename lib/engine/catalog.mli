@@ -12,14 +12,15 @@ val create : unit -> t
 
 val load : t -> name:string -> arity:int -> Dcd_storage.Tuple.t Dcd_util.Vec.t -> unit
 (** Creates (or extends) a relation with the given tuples,
-    deduplicating.  @raise Invalid_argument on arity mismatch with an
+    deduplicating.  A new relation is pre-sized for the whole vector.  @raise Invalid_argument on arity mismatch with an
     existing relation. *)
 
 val add_relation : t -> Dcd_storage.Relation.t -> unit
 (** Registers a fully built relation (replacing any same-named one). *)
 
-val ensure : t -> name:string -> arity:int -> Dcd_storage.Relation.t
-(** The named relation, creating it empty if missing. *)
+val ensure : ?size_hint:int -> t -> name:string -> arity:int -> Dcd_storage.Relation.t
+(** The named relation, creating it empty if missing ([size_hint] then
+    pre-sizes it, see {!Dcd_storage.Relation.create}). *)
 
 val find : t -> string -> Dcd_storage.Relation.t option
 

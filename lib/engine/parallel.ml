@@ -90,23 +90,15 @@ let arity_of (plan : Physical.t) pred =
    any worker starts (the shared catalog is read-only during parallel
    execution). *)
 let prebuild_indexes (plan : Physical.t) catalog (sp : Physical.stratum_plan) =
-  let note_steps steps =
-    Array.iter
-      (fun step ->
-        match step with
-        | Physical.Lookup { rel = Physical.R_base pred; key_cols; _ } ->
-          (* scanned and nested-loop relations must at least exist *)
-          let rel = Catalog.ensure catalog ~name:pred ~arity:(arity_of plan pred) in
-          if Array.length key_cols > 0 then ignore (Relation.ensure_index rel ~key_cols)
-        | Physical.Lookup _ | Physical.Filter _ | Physical.Compute _ -> ())
-      steps
-  in
   let note cr =
-    note_steps cr.Physical.steps;
+    Physical.iter_rule_steps cr (function
+      | Physical.Lookup { rel = Physical.R_base pred; key_cols; _ } ->
+        (* scanned and nested-loop relations must at least exist *)
+        let rel = Catalog.ensure catalog ~name:pred ~arity:(arity_of plan pred) in
+        if Array.length key_cols > 0 then ignore (Relation.ensure_index rel ~key_cols)
+      | Physical.Lookup _ | Physical.Filter _ | Physical.Compute _ -> ());
     (match cr.Physical.gj with
     | Some g ->
-      note_steps g.Physical.gj_prelude;
-      Array.iter (fun lv -> note_steps lv.Physical.gv_steps) g.Physical.gj_levels;
       (* sorted trie indexes, one per generic-join atom, bulk-loaded
          here so workers only ever read them *)
       Array.iter
@@ -181,11 +173,16 @@ let eval_stratum (plan : Physical.t) catalog (sp : Physical.stratum_plan) config
     Worker.make_shared ~exch ~token ~fault ~max_iterations:config.max_iterations ~steal
       ~merge_sorted:(config.merge = Batch_sorted) ~ckpt
   in
+  (* Store kind per copy, from the plan alone: a set copy that no rule
+     probes only answers "seen before?" and lives in a flat hash set;
+     probed set copies keep the B⁺-tree the index joins walk. *)
+  let probed = Physical.probed_copies sp in
   let stores =
     Array.init n (fun _ ->
         Array.map
           (fun (ci : Exchange.copy_info) ->
             Rec_store.create ~arity:ci.ci_arity ~agg:ci.ci_agg ~route:ci.ci_route
+              ~probed:(List.mem (ci.ci_pred, ci.ci_route) probed)
               ~opts:store_opts ())
           copies)
   in
@@ -411,14 +408,13 @@ let eval_stratum (plan : Physical.t) catalog (sp : Physical.stratum_plan) config
       for w = 0 to n - 1 do
         total := !total + Rec_store.length stores.(w).(cid)
       done;
+      (* sized once; partitions are disjoint and the fresh relation has
+         no index yet, so each tuple is one slice copy into its set *)
       let rel = Relation.create ~size_hint:!total ~name:pp.pred ~arity:pp.arity () in
-      (* one bulk add per predicate: partitions are disjoint, and any
-         sorted trie index present refreshes from one sorted run *)
-      let batch = Vec.create ~capacity:!total () in
       for w = 0 to n - 1 do
-        Rec_store.iter stores.(w).(cid) (fun tup -> Vec.push batch tup)
+        Rec_store.iter_slices stores.(w).(cid) (fun data off ->
+            ignore (Relation.add_slice rel data off))
       done;
-      ignore (Relation.add_batch rel batch);
       Catalog.add_relation catalog rel)
     sp.pred_plans;
   let materialize = Clock.now () -. t2 in

@@ -305,11 +305,19 @@ let shared t = t.sh
 
 let stats t = t.ws
 
-let push_delta w cid (fresh : Tuple.t) =
+(* [on_fresh] target of every store merge: set copies copy the slice
+   into the delta arena; aggregate copies hand over a fresh canonical
+   tuple of exactly the copy's arity (see [Rec_store.merge_slice]) *)
+let push_delta w cid data off =
   match w.delta_groups.(cid) with
-  | None -> ignore (Arena.push w.deltas.(cid) fresh)
+  | None -> ignore (Arena.push_slice w.deltas.(cid) data off)
   | Some groups -> (
-    let pos, _ = Option.get w.sx.sx_copies.(cid).Exchange.ci_agg in
+    let ci = w.sx.sx_copies.(cid) in
+    let fresh =
+      if off = 0 && Array.length data = ci.Exchange.ci_arity then data
+      else Array.sub data off ci.Exchange.ci_arity
+    in
+    let pos, _ = Option.get ci.Exchange.ci_agg in
     let group = Tuple.group_key fresh ~agg_pos:pos in
     match Hashtbl.find_opt groups group with
     | Some slot -> Arena.set_slot w.deltas.(cid) slot fresh
@@ -324,15 +332,15 @@ let merge_batch w (b : Exchange.batch) =
   w.ws.merged_tuples <- w.ws.merged_tuples + Frame.count b.bframe;
   (* records are folded in straight from the packed frame: absorbed
      candidates never exist as heap objects on the consumer side *)
+  let on_fresh = push_delta w b.bcopy in
   Frame.iter b.bframe (fun data ~toff ~clen ~coff ->
-      match Rec_store.merge_slice store ~data ~off:toff ~cdata:data ~coff ~clen with
-      | Some fresh -> push_delta w b.bcopy fresh
-      | None -> ())
+      Rec_store.merge_slice store ~data ~off:toff ~cdata:data ~coff ~clen ~on_fresh)
 
 (* Batch-sorted alternative: the drain only *stages* candidates into the
-   store's scratch run (the existence cache still filters here); the
-   sorted fold into the index happens once per drain in
-   [drain_and_merge], after the termination counters are updated. *)
+   store's scratch run (the existence cache still filters here; a flat
+   store dedups into its hash set right away); the sorted fold into the
+   index happens once per drain in [drain_and_merge], after the
+   termination counters are updated. *)
 let stage_batch w (b : Exchange.batch) =
   w.sh.inject Fault.Merge ~worker:w.me;
   w.sh.heartbeats.(w.me) <- w.sh.heartbeats.(w.me) + 1;
@@ -735,11 +743,17 @@ let restore w =
 
 let run_init w =
   let st = w.sh.steal in
+  let t0 = Clock.now () in
+  let processed = ref 0 in
+  (* time spent joining on stolen init morsels: [join_morsels] charges
+     its idle part as wait and [try_steal] its thefts as busy, so it is
+     left out of this worker's own busy time below *)
+  let joined = ref 0. in
   if w.me = 0 then
     List.iter
       (fun p ->
         bail_if_cancelled w;
-        ignore (Eval.run_prepared p ~scan:`Unit))
+        processed := !processed + Eval.run_prepared p ~scan:`Unit)
       w.unit_pipes;
   if Steal.enabled st then begin
     (* publish this worker's contiguous share of every shared scan arena
@@ -757,11 +771,13 @@ let run_init w =
     while !continue_ do
       match Steal.pop_own st ~me:w.me with
       | Some m ->
-        w.ws.tuples_processed <- w.ws.tuples_processed + exec_morsel w m;
+        processed := !processed + exec_morsel w m;
         Steal.complete st m
       | None -> continue_ := false
     done;
-    join_morsels w
+    let j0 = Clock.now () in
+    join_morsels w;
+    joined := Clock.now () -. j0
   end
   else
     (* stealing off: the historical strided stripe, copied into a scratch
@@ -778,13 +794,15 @@ let run_init w =
           k := !k + w.sh.n
         done;
         List.iter
-          (fun p ->
-            w.ws.tuples_processed <-
-              w.ws.tuples_processed + Eval.run_prepared p ~scan:(`Flat stripe))
+          (fun p -> processed := !processed + Eval.run_prepared p ~scan:(`Flat stripe))
           w.init_pipes.(g);
         give_arena w.sc stripe)
       w.init_arenas;
-  flush_outgoing w
+  flush_outgoing w;
+  let dt = Clock.now () -. t0 -. !joined in
+  w.ws.busy_time <- w.ws.busy_time +. dt;
+  w.ws.tuples_processed <- w.ws.tuples_processed + !processed;
+  Qmodel.record_service w.sc.qm ~tuples:!processed ~elapsed:dt
 
 (* Non-recursive strata have no fixpoint loop: after every worker has
    flushed its init-rule output, one barrier makes all pushes visible,

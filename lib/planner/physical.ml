@@ -696,30 +696,36 @@ let compile ?(params = []) ?(generic_join = `Auto) (info : Analysis.info) =
 
 (* --- auxiliary --- *)
 
+let iter_rule_steps cr f =
+  Array.iter f cr.steps;
+  match cr.gj with
+  | Some g ->
+    Array.iter f g.gj_prelude;
+    Array.iter (fun lv -> Array.iter f lv.gv_steps) g.gj_levels
+  | None -> ()
+
+let probed_copies sp =
+  let acc = ref [] in
+  List.iter
+    (fun cr ->
+      iter_rule_steps cr (function
+        | Lookup { rel = R_rec { pred; route }; _ } ->
+          if not (List.mem (pred, route) !acc) then acc := (pred, route) :: !acc
+        | Lookup _ | Filter _ | Compute _ -> ()))
+    (sp.init_rules @ sp.delta_rules);
+  List.rev !acc
+
 let base_relations_needed t =
   let acc = ref [] in
-  let note pred cols =
-    if Array.length cols > 0 && not (List.mem (pred, cols) !acc) then
-      acc := (pred, cols) :: !acc
-  in
-  let note_steps steps =
-    Array.iter
-      (fun step ->
-        match step with
-        | Lookup { rel = R_base pred; key_cols; _ } -> note pred key_cols
-        | Lookup _ | Filter _ | Compute _ -> ())
-      steps
-  in
   List.iter
     (fun sp ->
       List.iter
         (fun cr ->
-          note_steps cr.steps;
-          match cr.gj with
-          | Some g ->
-            note_steps g.gj_prelude;
-            Array.iter (fun lv -> note_steps lv.gv_steps) g.gj_levels
-          | None -> ())
+          iter_rule_steps cr (function
+            | Lookup { rel = R_base pred; key_cols; _ } ->
+              if Array.length key_cols > 0 && not (List.mem (pred, key_cols) !acc) then
+                acc := (pred, key_cols) :: !acc
+            | Lookup _ | Filter _ | Compute _ -> ()))
         (sp.init_rules @ sp.delta_rules))
     t.strata;
   !acc

@@ -170,6 +170,16 @@ val eval_code : code -> int array -> int
 
 val eval_cmp : Ast.cmp_op -> int -> int -> bool
 
+val iter_rule_steps : compiled_rule -> (step -> unit) -> unit
+(** Every step of a rule body: the binary pipeline, then the
+    generic-join prelude and each level's residual steps. *)
+
+val probed_copies : stratum_plan -> (string * int array) list
+(** The (predicate, route) copies some rule of the stratum looks up
+    through an [R_rec] step, binary or generic-join, in first-seen
+    order.  Every other set copy only ever answers "seen before?", so
+    the engine keeps it in a hash set instead of a B⁺-tree. *)
+
 val base_relations_needed : t -> (string * int array) list
 (** Distinct (predicate, key columns) pairs for which the engine should
     build shared hash indexes before execution. *)

@@ -1,4 +1,3 @@
-module Vec = Dcd_util.Vec
 module Bptree = Dcd_btree.Bptree
 
 (* A sorted index stores each tuple re-ordered by [si_cols] (a full
@@ -60,40 +59,6 @@ let add_slice t data off =
       t.sorted
   end;
   fresh
-
-(* Bulk add: fold a whole batch into the tuple set first, then refresh
-   every sorted trie index from the fresh subset as one sorted run — a
-   full column permutation keeps distinct tuples distinct, so the sorted
-   keys are strictly increasing and the B⁺-tree takes them in one
-   co-sequential merge instead of one descent per tuple. *)
-let add_batch t batch =
-  let fresh = Vec.create ~capacity:(Vec.length batch) () in
-  Vec.iter
-    (fun tup ->
-      if Array.length tup <> t.arity then
-        invalid_arg
-          (Printf.sprintf "Relation.add_batch: arity mismatch on %s (got %d, want %d)" t.name
-             (Array.length tup) t.arity);
-      if Tuple_set.add t.tuples tup then begin
-        List.iter (fun (_, idx) -> Hash_index.add idx tup) t.indexes;
-        Vec.push fresh tup
-      end)
-    batch;
-  let n = Vec.length fresh in
-  if n > 0 then
-    List.iter
-      (fun si ->
-        let keys =
-          Array.init n (fun i ->
-              let tup = Vec.get fresh i in
-              Array.map (fun c -> tup.(c)) si.si_cols)
-        in
-        Array.sort Bptree.compare_key keys;
-        Bptree.merge_sorted_slice si.si_tree ~n
-          ~key:(fun i -> keys.(i))
-          ~merge:(fun _ -> function Some () -> None | None -> Some ()))
-      t.sorted;
-  n
 
 let mem t tup = Tuple_set.mem t.tuples tup
 

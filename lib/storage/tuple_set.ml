@@ -106,14 +106,37 @@ let mem_slice t (src : int array) off len =
 
 let mem t (tup : Tuple.t) = mem_slice t tup 0 (Array.length tup)
 
-let iter_slices t f =
+let watermark t = t.used
+
+(* tuples stored at flat offsets >= [mark], in insertion order *)
+let iter_slices_from t mark f =
+  if mark < 0 || mark > t.used then invalid_arg "Tuple_set.iter_slices_from";
   let data = t.data in
-  let off = ref 0 in
+  let off = ref mark in
   while !off < t.used do
     let len = data.(!off) in
     f data (!off + 1) len;
     off := !off + len + 1
   done
+
+let iter_slices t f = iter_slices_from t 0 f
+
+(* Rollback to a watermark: drop the flat suffix and re-point the probe
+   table at the surviving prefix.  Surviving tuples are distinct, so
+   each one just takes the first empty slot of its probe sequence. *)
+let truncate t mark =
+  if mark < 0 || mark > t.used then invalid_arg "Tuple_set.truncate";
+  Array.fill t.table 0 (t.mask + 1) 0;
+  t.size <- 0;
+  t.used <- mark;
+  let table = t.table and mask = t.mask in
+  iter_slices t (fun data off len ->
+      let i = ref (Tuple.hash_slice data ~off ~len land mask) in
+      while table.(!i) <> 0 do
+        i := (!i + 1) land mask
+      done;
+      table.(!i) <- off;
+      t.size <- t.size + 1)
 
 let iter f t = iter_slices t (fun data off len -> f (Array.sub data off len))
 

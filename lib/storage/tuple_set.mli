@@ -38,6 +38,22 @@ val iter_slices : t -> (int array -> int -> int -> unit) -> unit
 (** [iter_slices s f] calls [f data off len] for each stored tuple in
     insertion order; the slice is valid only during the call. *)
 
+val watermark : t -> int
+(** The current end of the insertion order, as an opaque position.
+    Later inserts land after it; {!iter_slices_from} and {!truncate}
+    take one. *)
+
+val iter_slices_from : t -> int -> (int array -> int -> int -> unit) -> unit
+(** [iter_slices_from s mark f] is {!iter_slices} restricted to the
+    tuples inserted since [mark] was taken. *)
+
+val truncate : t -> int -> unit
+(** [truncate s mark] rolls the set back to the watermark [mark]: every
+    tuple inserted since is dropped and the probe table is rebuilt over
+    the surviving prefix (capacity is kept).
+    @raise Invalid_argument unless [mark] is a watermark of [s] no
+    later than its current end. *)
+
 val fold : ('acc -> Tuple.t -> 'acc) -> 'acc -> t -> 'acc
 
 val to_vec : t -> Tuple.t Dcd_util.Vec.t

@@ -162,10 +162,13 @@ let prop_pagerank =
       end)
 
 (* Exhaustive grid for the merge-path acceptance criterion: on a fixed
-   graph, TC/CC/SG under batch-sorted AND per-tuple merging must return
-   output identical to the naive oracle for every strategy x steal x
-   worker-count combination — the fixpoint must not depend on how deltas
-   are folded into the stores. *)
+   graph, every query under batch-sorted AND per-tuple merging must
+   return output identical to the naive oracle for every strategy x
+   steal x worker-count combination — the fixpoint must not depend on
+   how deltas are folded into the stores.  The queries cover all three
+   store kinds: linear TC, SG and triangle keep their copies in flat
+   hash sets (no rule probes them), non-linear TC probes both of its
+   copies (B⁺-tree), and CC's copy is an aggregate. *)
 let test_merge_path_grid () =
   let rng = Dcd_util.Rng.create 17 in
   let edges = List.init 60 (fun _ -> (Dcd_util.Rng.int rng 18, Dcd_util.Rng.int rng 18)) in
@@ -174,10 +177,14 @@ let test_merge_path_grid () =
   let queries =
     [ ("tc", D.Queries.tc.source, [ ("arc", arc) ]);
       ("cc", D.Queries.cc.source, [ ("arc", sym) ]);
-      ("sg", D.Queries.sg.source, [ ("arc", List.filteri (fun i _ -> i < 16) arc) ]) ]
+      ("sg", D.Queries.sg.source, [ ("arc", List.filteri (fun i _ -> i < 16) arc) ]);
+      ("tc", "tc(X, Y) <- arc(X, Y).\ntc(X, Y) <- tc(X, Z), tc(Z, Y).", [ ("arc", arc) ]);
+      ("tri", D.Queries.triangle.source, [ ("arc", arc) ]) ]
   in
   List.iter
     (fun (out, src, edb) ->
+      if List.assoc_opt out (run_naive src edb) |> Option.value ~default:[] = [] then
+        Alcotest.failf "%s: the grid graph must give a non-empty fixpoint" out;
       List.iter
         (fun merge ->
           List.iter
@@ -212,5 +219,5 @@ let () =
             prop_pagerank;
           ] );
       ( "merge-path grid",
-        [ Alcotest.test_case "tc/cc/sg: batch = per-tuple = naive" `Quick test_merge_path_grid ] );
+        [ Alcotest.test_case "tc/cc/sg/ntc/tri: batch = per-tuple = naive" `Quick test_merge_path_grid ] );
     ]

@@ -155,6 +155,42 @@ let test_stats_populated () =
   Alcotest.(check bool) "messages counted" true (D.Run_stats.total_sent r.stats > 0);
   Alcotest.(check int) "one stratum" 1 (List.length r.stats.strata)
 
+(* Every second a worker spends inside a non-recursive stratum's
+   evaluation is charged to busy (init scans, own and stolen), wait
+   (barrier, morsel join) or merge (drain).  What is left is pool
+   dispatch and pipeline preparation, so the three must cover at least
+   [min_cover] of evaluate x workers, and can never exceed it by more
+   than clock granularity.  Scheduler noise only lowers coverage, so the
+   best of three runs is checked. *)
+let min_cover = 0.75
+
+let test_nonrecursive_time_attributed () =
+  let src = "two(X, Z) <- arc(X, Y), arc(Y, Z)." in
+  let edb = D.Queries.arc_edb (D.Datasets.rmat 800) in
+  List.iter
+    (fun steal ->
+      let coverage () =
+        let config = { D.default_config with workers = 2; steal } in
+        match D.query ~config src ~edb with
+        | Error e -> Alcotest.fail e
+        | Ok r -> (
+          match r.stats.strata with
+          | [ s ] ->
+            let covered =
+              Array.fold_left
+                (fun a (w : D.Run_stats.worker) -> a +. w.busy_time +. w.wait_time +. w.merge_time)
+                0. s.workers
+            in
+            covered /. (s.evaluate *. 2.)
+          | _ -> Alcotest.fail "one stratum expected")
+      in
+      let best = List.fold_left (fun a _ -> Float.max a (coverage ())) 0. [ 1; 2; 3 ] in
+      Alcotest.(check bool)
+        (Printf.sprintf "steal=%b: covered share %.3f in [%.2f, 1.02]" steal best min_cover)
+        true
+        (best >= min_cover && best <= 1.02))
+    [ true; false ]
+
 let test_self_loop () =
   let r = run D.Queries.tc.source [ ("arc", [ [ 1; 1 ]; [ 1; 2 ] ]) ] in
   Alcotest.check rows "self loop terminates" [ [ 1; 1 ]; [ 1; 2 ] ] (D.relation r "tc")
@@ -231,6 +267,8 @@ let () =
           Alcotest.test_case "empty edb" `Quick test_empty_edb;
           Alcotest.test_case "missing edb relation" `Quick test_missing_edb_relation;
           Alcotest.test_case "stats populated" `Quick test_stats_populated;
+          Alcotest.test_case "non-recursive time attributed" `Quick
+            test_nonrecursive_time_attributed;
           Alcotest.test_case "self loop" `Quick test_self_loop;
           Alcotest.test_case "stratified negation" `Quick test_stratified_negation_end_to_end;
           Alcotest.test_case "max iterations cap" `Quick test_max_iterations_cap;

@@ -159,12 +159,48 @@ let test_count_head_const_zero () =
   | _ -> Alcotest.fail "count head mis-compiled");
   Alcotest.(check bool) "count value placeholder" true (cr.head.args.(1) = Ph.Const 0)
 
+(* Which copies get the B⁺-tree store: exactly those some rule looks up
+   through an [R_rec] step.  Linear TC and SG only scan their own delta
+   (every other atom is [arc]), and triangle's stratum is non-recursive,
+   so their copies only answer "seen before?"; each delta variant of
+   non-linear TC and APSP probes the other route's copy. *)
+let test_probed_copies () =
+  let probed src =
+    let plan = compile_ok src in
+    List.concat_map
+      (fun sp -> List.map (fun (p, r) -> (p, Array.to_list r)) (Ph.probed_copies sp))
+      plan.strata
+    |> List.sort compare
+  in
+  let copies = Alcotest.(list (pair string (list int))) in
+  let module Q = Dcd_workload.Queries in
+  Alcotest.check copies "linear tc: unprobed" [] (probed Q.tc.source);
+  Alcotest.check copies "sg: unprobed" [] (probed Q.sg.source);
+  Alcotest.check copies "triangle: unprobed" [] (probed Q.triangle.source);
+  Alcotest.check copies "non-linear tc: both routes probed"
+    [ ("tc", [ 0 ]); ("tc", [ 1 ]) ]
+    (probed "tc(X, Y) <- arc(X, Y).\ntc(X, Y) <- tc(X, Z), tc(Z, Y).");
+  Alcotest.check copies "apsp: both path routes probed"
+    [ ("path", [ 0 ]); ("path", [ 1 ]) ]
+    (probed apsp_src);
+  (* a generic-join body only joins base relations, so forcing the
+     generic join leaves non-linear TC's recursive probes binary *)
+  let forced =
+    match Analysis.analyze (Parser.parse_program "tc(X, Y) <- arc(X, Y).\ntc(X, Y) <- tc(X, Z), tc(Z, Y).") with
+    | Error e -> Alcotest.fail e
+    | Ok info -> (
+      match Ph.compile ~generic_join:`Force info with Ok p -> p | Error e -> Alcotest.fail e)
+  in
+  Alcotest.(check int) "forced generic join: probes kept" 2
+    (List.length (Ph.probed_copies (List.hd forced.strata)))
+
 let () =
   Alcotest.run "physical"
     [
       ( "unit",
         [
           Alcotest.test_case "apsp routes" `Quick test_apsp_routes;
+          Alcotest.test_case "probed copies" `Quick test_probed_copies;
           Alcotest.test_case "join method selection" `Quick test_join_method_selection;
           Alcotest.test_case "nested loop fallback" `Quick test_nested_loop_fallback;
           Alcotest.test_case "params resolved" `Quick test_params_resolved;

@@ -42,7 +42,7 @@ let test_arena_truncate () =
 let logged_opts = { Rs.default_opts with Rs.track_log = true }
 
 let test_set_rollback () =
-  let s = Rs.create ~arity:2 ~agg:None ~route:[| 0 |] ~opts:logged_opts () in
+  let s = Rs.create ~arity:2 ~agg:None ~route:[| 0 |] ~probed:true ~opts:logged_opts () in
   ignore (Rs.merge s ~tuple:[| 1; 2 |] ~contributor:[||]);
   ignore (Rs.merge s ~tuple:[| 3; 4 |] ~contributor:[||]);
   let snap = Rs.snapshot s in
@@ -64,7 +64,7 @@ let test_set_rollback () =
   Alcotest.(check int) "back to the cut" 2 (Rs.length s)
 
 let test_set_snapshot_needs_log () =
-  let s = Rs.create ~arity:2 ~agg:None ~route:[| 0 |] ~opts:Rs.default_opts () in
+  let s = Rs.create ~arity:2 ~agg:None ~route:[| 0 |] ~probed:true ~opts:Rs.default_opts () in
   match Rs.snapshot s with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "snapshot without track_log must be rejected"
@@ -74,7 +74,9 @@ let test_set_snapshot_needs_log () =
 let tuple_of = Array.to_list
 
 let test_agg_count_rollback () =
-  let s = Rs.create ~arity:2 ~agg:(Some (1, Ast.Count)) ~route:[| 0 |] ~opts:logged_opts () in
+  let s =
+    Rs.create ~arity:2 ~agg:(Some (1, Ast.Count)) ~route:[| 0 |] ~probed:true ~opts:logged_opts ()
+  in
   ignore (Rs.merge s ~tuple:[| 7; 0 |] ~contributor:[| 100 |]);
   let snap = Rs.snapshot s in
   ignore (Rs.merge s ~tuple:[| 7; 0 |] ~contributor:[| 101 |]);
@@ -82,7 +84,7 @@ let test_agg_count_rollback () =
   ignore (Rs.rollback s snap);
   Alcotest.(check int) "one group survives" 1 (Rs.length s);
   let got = ref [] in
-  Rs.iter s (fun t -> got := tuple_of t :: !got);
+  Rs.iter_slices s (fun d o -> got := tuple_of (Array.sub d o 2) :: !got);
   Alcotest.(check (list (list int))) "count rewound to 1" [ [ 7; 1 ] ] !got;
   (* contributor-dedup state was restored with the value: the pre-cut
      contributor must still be absorbed, a post-cut one re-counted *)
@@ -93,13 +95,15 @@ let test_agg_count_rollback () =
   | None -> Alcotest.fail "rolled-back contributor must count again"
 
 let test_agg_sum_rollback () =
-  let s = Rs.create ~arity:2 ~agg:(Some (1, Ast.Sum)) ~route:[| 0 |] ~opts:logged_opts () in
+  let s =
+    Rs.create ~arity:2 ~agg:(Some (1, Ast.Sum)) ~route:[| 0 |] ~probed:true ~opts:logged_opts ()
+  in
   ignore (Rs.merge s ~tuple:[| 1; 10 |] ~contributor:[| 500 |]);
   let snap = Rs.snapshot s in
   ignore (Rs.merge s ~tuple:[| 1; 5 |] ~contributor:[| 501 |]);
   ignore (Rs.rollback s snap);
   let got = ref [] in
-  Rs.iter s (fun t -> got := tuple_of t :: !got);
+  Rs.iter_slices s (fun d o -> got := tuple_of (Array.sub d o 2) :: !got);
   Alcotest.(check (list (list int))) "sum rewound" [ [ 1; 10 ] ] !got;
   Alcotest.(check bool) "pre-cut partial restored (same contributor absorbed)" true
     (Rs.merge s ~tuple:[| 1; 10 |] ~contributor:[| 500 |] = None);
@@ -108,7 +112,9 @@ let test_agg_sum_rollback () =
   | None -> Alcotest.fail "rolled-back sum contribution must apply again"
 
 let test_agg_min_rollback () =
-  let s = Rs.create ~arity:2 ~agg:(Some (1, Ast.Min)) ~route:[| 0 |] ~opts:logged_opts () in
+  let s =
+    Rs.create ~arity:2 ~agg:(Some (1, Ast.Min)) ~route:[| 0 |] ~probed:true ~opts:logged_opts ()
+  in
   ignore (Rs.merge s ~tuple:[| 1; 9 |] ~contributor:[||]);
   let snap = Rs.snapshot s in
   ignore (Rs.merge s ~tuple:[| 1; 3 |] ~contributor:[||]);
@@ -191,6 +197,44 @@ let test_recovered_run_matches_oracle () =
       (List.sort compare (D.relation r "tc"));
     Alcotest.(check bool) "at least one recovery happened" true
       (r.D.Parallel.stats.D.Run_stats.recovery.D.Run_stats.recoveries >= 1)
+  | Error e -> Alcotest.fail ("front end: " ^ e)
+
+(* Linear TC keeps its copy in the flat hash-set store (no rule probes
+   it), so a crash after a committed epoch rolls that store back to the
+   epoch's insertion watermark.  A long chain keeps Global in lockstep
+   for dozens of passes, cut after every one; the seeded crashes land
+   on merges, most of them mid-fixpoint, and the re-run must reach the
+   exact oracle fixpoint. *)
+let test_flat_store_recovers_from_epoch () =
+  let chain = List.init 60 (fun i -> [ i; i + 1 ]) @ [ [ 30; 5 ]; [ 50; 20 ] ] in
+  let expected = oracle D.Queries.tc.D.Queries.source [ ("arc", chain) ] "tc" in
+  let base =
+    recovery_config ~strategy:D.Coord.Global ~steal:false ~workers:4 ~crash_prob:0.
+      ~max_crashes:0
+  in
+  let config =
+    {
+      base with
+      checkpoint_every = 1;
+      fault =
+        Some
+          {
+            D.Fault.off with
+            seed = 5;
+            crash_prob = 0.01;
+            crash_sites = [ D.Fault.Merge ];
+            max_crashes = 2;
+          };
+    }
+  in
+  match D.query ~config D.Queries.tc.D.Queries.source ~edb:[ ("arc", D.tuples chain) ] with
+  | Ok r ->
+    let rcv = r.D.Parallel.stats.D.Run_stats.recovery in
+    Alcotest.(check (list (list int)))
+      "recovered fixpoint equals oracle" expected
+      (List.sort compare (D.relation r "tc"));
+    Alcotest.(check bool) "a crash was recovered" true (rcv.D.Run_stats.recoveries >= 1);
+    Alcotest.(check bool) "epochs were cut" true (rcv.D.Run_stats.epochs_cut >= 1)
   | Error e -> Alcotest.fail ("front end: " ^ e)
 
 let test_crash_free_checkpoints_are_invisible () =
@@ -279,6 +323,8 @@ let () =
         [
           Alcotest.test_case "recovered run matches oracle" `Quick
             test_recovered_run_matches_oracle;
+          Alcotest.test_case "flat store recovers from an epoch" `Quick
+            test_flat_store_recovers_from_epoch;
           Alcotest.test_case "crash-free checkpoints invisible" `Quick
             test_crash_free_checkpoints_are_invisible;
           Alcotest.test_case "recovery disabled fails fast" `Quick

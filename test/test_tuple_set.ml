@@ -35,6 +35,29 @@ let test_iter_fold_clear () =
   Alcotest.(check int) "cleared" 0 (Ts.length s);
   Alcotest.(check bool) "add after clear" true (Ts.add s [| 1 |])
 
+let test_watermark_truncate () =
+  let s = Ts.create ~capacity:2 () in
+  List.iter (fun t -> ignore (Ts.add s t)) [ [| 1; 1 |]; [| 2 |] ];
+  let mark = Ts.watermark s in
+  (* enough inserts past the mark to grow the probe table *)
+  for i = 0 to 99 do
+    ignore (Ts.add s [| i; i; i |])
+  done;
+  let since = ref [] in
+  Ts.iter_slices_from s mark (fun data off len -> since := Array.sub data off len :: !since);
+  Alcotest.(check int) "iter_slices_from sees only later inserts" 100 (List.length !since);
+  Alcotest.(check (list int)) "in insertion order" [ 0; 0; 0 ] (Array.to_list (List.hd (List.rev !since)));
+  Ts.truncate s mark;
+  Alcotest.(check int) "length back at the mark" 2 (Ts.length s);
+  Alcotest.(check bool) "survivor still a member" true (Ts.mem s [| 1; 1 |]);
+  Alcotest.(check bool) "dropped tuple gone" false (Ts.mem s [| 5; 5; 5 |]);
+  Alcotest.(check bool) "survivor still dedups" false (Ts.add s [| 2 |]);
+  Alcotest.(check bool) "dropped tuple fresh again" true (Ts.add s [| 5; 5; 5 |]);
+  Alcotest.(check int) "length after re-insert" 3 (Ts.length s);
+  match Ts.truncate s (Ts.watermark s + 1) with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "a watermark past the end must be rejected"
+
 module Model = Set.Make (struct
   type t = int list
 
@@ -65,6 +88,7 @@ let () =
           Alcotest.test_case "empty tuple storable" `Quick test_empty_tuple_is_storable;
           Alcotest.test_case "growth" `Quick test_growth;
           Alcotest.test_case "iter/fold/clear" `Quick test_iter_fold_clear;
+          Alcotest.test_case "watermark/truncate" `Quick test_watermark_truncate;
         ] );
       ("property", [ QCheck_alcotest.to_alcotest prop_matches_set_model ]);
     ]
