@@ -109,8 +109,8 @@ let maintain_workers_arg =
   Arg.(value & opt int D.default_config.maintain_workers
        & info [ "maintain-workers" ] ~docv:"N"
            ~doc:"Workers for incremental maintenance rounds in $(b,repl)/$(b,serve) \
-                 (0 = same as --workers, the default; 1 = the sequential interpreted \
-                 path; capped at --workers).")
+                 (0 = same as --workers, the default; 1 = the compiled kernels run \
+                 inline on the coordinator; capped at --workers).")
 
 let unopt_arg =
   Arg.(value & flag & info [ "unoptimized" ]

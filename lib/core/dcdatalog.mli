@@ -87,8 +87,8 @@ type config = Parallel.config = {
           the last epoch and re-running ([0] = fail fast) *)
   maintain_workers : int;
       (** workers for incremental-maintenance delta joins in a
-          {!Session} ([0] = same as [workers], [1] = sequential
-          interpreter) *)
+          {!Session} ([0] = same as [workers], [1] = the compiled
+          maintenance kernels run inline on the coordinator) *)
 }
 
 val default_config : config

@@ -108,7 +108,7 @@ let open_session ~plan ~edb ?(config = Parallel.default_config) () =
   let runtime = Parallel.create_runtime ~workers:config.Parallel.workers in
   match
     let result = Parallel.run ~runtime plan ~edb ~config in
-    let maintain = Maintain.create ~plan ~config ~runtime ~catalog:result.Parallel.catalog () in
+    let maintain = Maintain.create ~plan ~config ~runtime ~catalog:result.Parallel.catalog in
     (result, maintain)
   with
   | exception e ->
@@ -153,8 +153,9 @@ let require_open t =
 
 (* Restores the published snapshot and the session stats from one
    maintenance round's report.  Caller holds [write_mutex].
+   [maintain_s] is the time spent inside {!Maintain.apply} alone;
    [coalesced] is how many queued batches rode along beyond the first. *)
-let publish_round t report ~t0 ~coalesced =
+let publish_round t report ~maintain_s ~coalesced =
   let wanted =
     Mutex.protect t.idx_mutex (fun () ->
         Hashtbl.fold (fun k () acc -> k :: acc) t.idx_wanted [])
@@ -247,7 +248,7 @@ let publish_round t report ~t0 ~coalesced =
       mw.Run_stats.mw_steals <- mw.Run_stats.mw_steals + st;
       mw.Run_stats.mw_stolen <- mw.Run_stats.mw_stolen + tu)
     report.Maintain.br_workers;
-  m.Run_stats.maintain_s <- m.Run_stats.maintain_s +. (Clock.now () -. t0)
+  m.Run_stats.maintain_s <- m.Run_stats.maintain_s +. maintain_s
 
 (* Runs one merged maintenance round for every waiter queued so far.
    Caller has claimed [q_flushing] and holds neither mutex.  Every
@@ -288,7 +289,8 @@ let flush_round t =
             let updates = List.concat_map (fun w -> w.w_updates) admitted in
             match
               let report = Maintain.apply t.maintain updates in
-              publish_round t report ~t0 ~coalesced:(List.length admitted - 1);
+              let maintain_s = Clock.now () -. t0 in
+              publish_round t report ~maintain_s ~coalesced:(List.length admitted - 1);
               report
             with
             | report -> List.iter (fun w -> w.w_outcome <- Done report) admitted

@@ -14,23 +14,23 @@
     - recursive min/max-aggregate strata propagate inserts monotonically
       and recompute on deletions;
     - strata with negation or recursive count/sum recompute through
-      {!Parallel.run}, on the resident {!Parallel.runtime} if one is
-      supplied.
+      {!Parallel.run} on the resident {!Parallel.runtime}.
 
     Every maintained state is verified against (or adopted from) the
     engine's own materialization at {!create} time, and the differential
     suite checks {!apply} against a cold naive-oracle recompute.
 
-    With a resident {!Parallel.runtime} and
-    [config.maintain_workers <> 1], the delta joins of every pass
-    compile to monomorphic {!Maintain_kernel} pipelines (registers,
-    {!Kernel} binder/checker/filler closures) and scans above a small
-    threshold execute as steal-enabled morsel rounds on the resident
-    pool: workers run the kernels read-only against the frozen state
-    and buffer their emissions, which the coordinator applies
-    sequentially after the round barrier — the fixpoints are identical
-    to the interpreted path, which [maintain_workers = 1] preserves
-    verbatim as the ablation baseline.
+    Every rule body — the delta joins of every pass and the setup-time
+    support counts and derivation ranks — compiles to monomorphic
+    {!Maintain_kernel} pipelines (registers, {!Kernel}
+    binder/checker/filler closures).  Scans above a small threshold
+    execute as steal-enabled morsel rounds on the resident pool when
+    [config.maintain_workers <> 1]: workers run the kernels read-only
+    against the frozen state and buffer their emissions, which the
+    coordinator applies sequentially after the round barrier.  Smaller
+    scans, and every scan at [maintain_workers = 1], run the same
+    kernels inline on the coordinator; the fixpoints are identical
+    either way.
 
     Not thread-safe: callers serialize {!apply}, and must not read
     through {!visible} concurrently with it (the {!Dcdatalog.Session}
@@ -61,27 +61,28 @@ type batch_report = {
           immutable and remain valid across later batches. *)
   br_workers : (float * int * int * int) list;
       (** per maintenance worker: (join seconds, morsels executed,
-          steals, tuples stolen).  Empty on the sequential interpreted
-          path ([maintain_workers = 1] or no runtime); when parallelism
-          is armed it always has [maintain_workers] entries — all zero
-          if every round stayed below the inline threshold. *)
+          steals, tuples stolen), one entry per effective maintenance
+          worker.  Rounds run inline on the coordinator count as one
+          morsel of worker 0. *)
 }
 
 val create :
   plan:Dcd_planner.Physical.t ->
   config:Parallel.config ->
-  ?runtime:Parallel.runtime ->
+  runtime:Parallel.runtime ->
   catalog:Catalog.t ->
-  unit ->
   t
 (** Builds the maintenance state from a finished run's catalog.  The
-    counting strata rebuild their support from scratch and verify the
-    result against the catalog tuple-for-tuple; the other strata adopt
-    the engine fixpoint as-is.
+    counting strata rebuild their support from scratch through the
+    compiled kernels and verify the result against the catalog
+    tuple-for-tuple; the other strata adopt the engine fixpoint as-is,
+    and DRed strata label it with derivation ranks and support counts.
+    The rounds run on [runtime], the pool the session keeps resident.
     @raise Invalid_argument if [config.max_iterations > 0] (a bounded
     fixpoint is not a model and cannot be maintained), if the runtime's
-    worker count disagrees with [config.workers], or if the counting
-    interpreter diverges from the engine's materialization. *)
+    worker count disagrees with [config.workers],
+    [config.maintain_workers < 0], or if the counting support rebuild
+    diverges from the engine's materialization. *)
 
 val validate : t -> update list -> unit
 (** The validation prefix of {!apply} alone: raises [Invalid_argument]

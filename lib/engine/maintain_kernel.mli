@@ -1,13 +1,12 @@
-(** Compiled delta-rule pipelines for incremental maintenance.
+(** Compiled rule pipelines for incremental maintenance — the only
+    evaluator {!Maintain} has, for its batch delta rules and for the
+    support counts and derivation ranks it builds at session open.
 
-    {!Maintain}'s interpreted evaluator walks an ordered body with a
-    string-keyed environment and a closure per element — ~10× the
-    per-emit constants of the engine's compiled kernels.  This module
-    closes that gap for the maintenance phases: a [spec] is the same
-    register machine {!Dcd_planner.Physical} compiles rules into, but
-    with each body atom's iteration abstracted behind a closure the
-    maintenance state supplies (its hash stores carry per-batch
-    Old/Cur visibility the engine's relations know nothing about).
+    A [spec] is the same register machine {!Dcd_planner.Physical}
+    compiles rules into, but with each body atom's iteration abstracted
+    behind a closure the maintenance state supplies (its hash stores
+    carry per-batch Old/Cur visibility the engine's relations know
+    nothing about).
     Binds, residual checks and key/head fills execute through the exact
     {!Kernel} monomorphic binder/checker/filler closures the one-shot
     engine uses.
@@ -61,7 +60,7 @@ type instance
 val instantiate : spec -> instance
 (** Fresh register file and buffers; emit is initially a no-op.
     Division by zero inside a filter or assignment rejects the binding,
-    exactly as the interpreted path does. *)
+    as in the engine's kernels and the {!Naive} oracle. *)
 
 val regs : instance -> int array
 (** The live register file — for phase-specific emit closures that need

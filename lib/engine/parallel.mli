@@ -102,9 +102,9 @@ type config = {
       (** workers for incremental-maintenance delta joins ({!Maintain}):
           large seed scans and cascade sweeps dispatch onto the resident
           pool as steal-enabled morsel rounds.  [0] (the default) means
-          "same as [workers]"; [1] forces the sequential interpreted
-          path (the ablation baseline); values above [workers] are
-          clamped.  Ignored by {!run} itself. *)
+          "same as [workers]"; [1] runs the same compiled kernels inline
+          on the coordinator; values above [workers] are clamped.
+          Ignored by {!run} itself. *)
 }
 
 val default_config : config

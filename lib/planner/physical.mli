@@ -180,15 +180,6 @@ val probed_copies : stratum_plan -> (string * int array) list
     order.  Every other set copy only ever answers "seen before?", so
     the engine keeps it in a hash set instead of a B⁺-tree. *)
 
-val base_relations_needed : t -> (string * int array) list
-(** Distinct (predicate, key columns) pairs for which the engine should
-    build shared hash indexes before execution. *)
-
-val sorted_indexes_needed : t -> (string * int array) list
-(** Distinct (predicate, trie column order) pairs for which the engine
-    should build shared sorted (B⁺-tree) indexes before execution — one
-    per generic-join atom. *)
-
 val explain : t -> string
 (** Human-readable plan: strata, routes, and each rule's pipeline with
     join methods. *)

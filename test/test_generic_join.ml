@@ -58,14 +58,26 @@ let test_tc_force_ineligible () =
   let plan = compile ~generic_join:`Force D.Queries.tc.source in
   Alcotest.(check int) "tc unaffected by `Force" 0 (List.length (gj_rules plan))
 
-let test_sorted_indexes_needed () =
-  let plan = compile D.Queries.triangle.source in
-  let need = Ph.sorted_indexes_needed plan in
+(* The (predicate, trie column order) pairs the engine bulk-loads sorted
+   indexes for: one per generic-join atom, read off [cr.gj] as
+   [Parallel.prebuild_indexes] does. *)
+let trie_atoms plan =
+  List.concat_map
+    (fun (cr : Ph.compiled_rule) ->
+      match cr.Ph.gj with
+      | Some g ->
+        List.map
+          (fun (ga : Ph.gj_atom) -> (ga.Ph.ga_pred, ga.Ph.ga_cols))
+          (Array.to_list g.Ph.gj_atoms)
+      | None -> [])
+    (all_rules plan)
+
+let test_trie_atoms () =
+  let need = trie_atoms (compile D.Queries.triangle.source) in
   Alcotest.(check bool) "triangle needs arc tries" true (List.length need > 0);
   List.iter (fun (p, _) -> Alcotest.(check string) "all on arc" "arc" p) need;
-  let plan_off = compile ~generic_join:`Off D.Queries.triangle.source in
   Alcotest.(check int) "no tries when off" 0
-    (List.length (Ph.sorted_indexes_needed plan_off))
+    (List.length (trie_atoms (compile ~generic_join:`Off D.Queries.triangle.source)))
 
 (* --- exact results on known graphs --- *)
 
@@ -177,7 +189,7 @@ let () =
           Alcotest.test_case "sg stays binary on auto" `Quick test_sg_auto_binary;
           Alcotest.test_case "force flips sg" `Quick test_sg_forced;
           Alcotest.test_case "tc ineligible under force" `Quick test_tc_force_ineligible;
-          Alcotest.test_case "sorted_indexes_needed" `Quick test_sorted_indexes_needed;
+          Alcotest.test_case "generic-join trie atoms" `Quick test_trie_atoms;
         ] );
       ( "exact",
         [

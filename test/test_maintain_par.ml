@@ -1,7 +1,7 @@
 (* Parallel incremental maintenance (compiled kernels + pool-resident
-   delta joins + writer coalescing): differential grids that pit the
-   parallel maintenance path against both the sequential interpreted
-   path (maintain_workers = 1, the ablation baseline) and a cold
+   delta joins + writer coalescing): differential grids that pit
+   pool-dispatched maintenance rounds against the same kernels run
+   inline on the coordinator (maintain_workers = 1) and against a cold
    naive-oracle recompute; a concurrency property for writer
    coalescing; and the poisoned-session regression. *)
 
@@ -59,9 +59,9 @@ let gen_batches rng ~preds ~nodes ~batches ~ops =
             D.Maintain.Insert (pred, t)
           end))
 
-(* One cell: the parallel session and the sequential ablation session
-   apply the same schedule; after every batch both fixpoints must agree
-   with each other and with the oracle's cold recompute. *)
+(* One cell: the session under test and a one-maintenance-worker
+   session apply the same schedule; after every batch both fixpoints
+   must agree with each other and with the oracle's cold recompute. *)
 let run_cell ~src ~outputs ~initial ~batches ~config =
   let prepared = prepare src in
   let edb () = List.map (fun (n, rows) -> (n, D.Vec.of_list rows)) initial in
@@ -90,7 +90,7 @@ let run_cell ~src ~outputs ~initial ~batches ~config =
         let got_par = session_fixpoint par outputs in
         let got_seq = session_fixpoint seq outputs in
         if got_par <> got_seq then
-          fail := Some (Printf.sprintf "batch %d: parallel diverged from sequential" bi)
+          fail := Some (Printf.sprintf "batch %d: diverged from one maintenance worker" bi)
         else begin
           let cur_base =
             List.map

@@ -116,11 +116,23 @@ let test_eval_cmp () =
   Alcotest.(check bool) "gt" true (Ph.eval_cmp Ast.Gt 4 3);
   Alcotest.(check bool) "ge" false (Ph.eval_cmp Ast.Ge 2 3)
 
-let test_base_relations_needed () =
+(* The keyed base lookups the engine prebuilds hash indexes for, found
+   by the same step walk [Parallel.prebuild_indexes] uses. *)
+let test_keyed_base_lookups () =
   let plan = compile_ok "tc(X, Y) <- arc(X, Y).\ntc(X, Y) <- tc(X, Z), arc(Z, Y)." in
-  let needed = Ph.base_relations_needed plan in
+  let keyed = ref [] in
+  List.iter
+    (fun (sp : Ph.stratum_plan) ->
+      List.iter
+        (fun cr ->
+          Ph.iter_rule_steps cr (function
+            | Ph.Lookup { rel = Ph.R_base pred; key_cols; _ } when Array.length key_cols > 0 ->
+              keyed := (pred, key_cols) :: !keyed
+            | Ph.Lookup _ | Ph.Filter _ | Ph.Compute _ -> ()))
+        (sp.init_rules @ sp.delta_rules))
+    plan.strata;
   Alcotest.(check bool) "arc index on col 0" true
-    (List.exists (fun (p, cols) -> p = "arc" && cols = [| 0 |]) needed)
+    (List.exists (fun (p, cols) -> p = "arc" && cols = [| 0 |]) !keyed)
 
 let test_explain_runs () =
   let plan = compile_ok apsp_src in
@@ -208,7 +220,7 @@ let () =
           Alcotest.test_case "colocation error" `Quick test_colocation_error;
           Alcotest.test_case "eval_code" `Quick test_eval_code;
           Alcotest.test_case "eval_cmp" `Quick test_eval_cmp;
-          Alcotest.test_case "base_relations_needed" `Quick test_base_relations_needed;
+          Alcotest.test_case "keyed base lookups" `Quick test_keyed_base_lookups;
           Alcotest.test_case "explain" `Quick test_explain_runs;
           Alcotest.test_case "to_dot" `Quick test_to_dot;
           Alcotest.test_case "count head" `Quick test_count_head_const_zero;

@@ -221,6 +221,43 @@ let reachstats_diff () =
     [ ("arc", 2); ("src", 1) ]
     107 ()
 
+(* SG: a [!=] filter in the base rule and two lower-stratum atoms
+   around the recursive one in a DRed stratum. *)
+let sg_diff () =
+  let rng = Dcd_util.Rng.create 23 in
+  diff_case "sg" D.Queries.sg.source [ "sg" ]
+    [ ("arc", mk_edges rng 14 25) ]
+    [ ("arc", 2) ]
+    113 ()
+
+(* A head constant, an arithmetic assignment, a comparison and a
+   repeated body variable, each compiled into the maintenance kernels. *)
+let hop_src =
+  "hop(X, Y, 1) <- arc(X, Y).
+   hop(X, Z, D) <- hop(X, Y, D1), arc(Y, Z), D = D1 + 1, D < 4.
+   loop(X, 0) <- arc(X, X)."
+
+let hop_diff () =
+  let rng = Dcd_util.Rng.create 29 in
+  diff_case "hop" hop_src [ "hop"; "loop" ]
+    [ ("arc", mk_edges rng 14 25) ]
+    [ ("arc", 2) ]
+    127 ()
+
+(* A rule without positive atoms feeding a recursive stratum: its one
+   derivation must be counted at session open. *)
+let unit_src =
+  "seed(7) <- 1 = 1.
+reach(X) <- seed(X).
+reach(Y) <- reach(X), arc(X, Y)."
+
+let unit_diff () =
+  let rng = Dcd_util.Rng.create 31 in
+  diff_case "unit" unit_src [ "seed"; "reach" ]
+    [ ("arc", mk_edges rng 14 25) ]
+    [ ("arc", 2) ]
+    131 ()
+
 (* QCheck: random schedules, random configs, TC only (the cheap cell) *)
 let prop_random_schedule =
   QCheck.Test.make ~name:"random schedule: incremental = cold oracle" ~count:25
@@ -260,6 +297,9 @@ let () =
           Alcotest.test_case "non-linear tc grid" `Slow ntc_diff;
           Alcotest.test_case "cc grid" `Slow cc_diff;
           Alcotest.test_case "reachstats grid" `Slow reachstats_diff;
+          Alcotest.test_case "sg grid" `Slow sg_diff;
+          Alcotest.test_case "hop grid" `Slow hop_diff;
+          Alcotest.test_case "unit rule grid" `Slow unit_diff;
           QCheck_alcotest.to_alcotest prop_random_schedule;
         ] );
     ]
